@@ -563,7 +563,9 @@ func (rb *RemoteBuffer) WriteRemote(offset int64, data []byte) (int64, error) {
 	if offset < 0 || offset+int64(len(data)) > rb.Size {
 		return 0, fmt.Errorf("memctl: write outside buffer %d bounds", rb.ID)
 	}
-	return qp.Write(wr, data, rb.RKey, int(offset))
+	ns, err := qp.Write(wr, data, rb.RKey, int(offset))
+	a.reap()
+	return ns, err
 }
 
 // ReadRemote reads length bytes from the remote buffer at offset into dst.
@@ -581,5 +583,17 @@ func (rb *RemoteBuffer) ReadRemote(offset int64, dst []byte) (int64, error) {
 	if offset < 0 || offset+int64(len(dst)) > rb.Size {
 		return 0, fmt.Errorf("memctl: read outside buffer %d bounds", rb.ID)
 	}
-	return qp.Read(wr, dst, rb.RKey, int(offset), len(dst))
+	ns, err := qp.Read(wr, dst, rb.RKey, int(offset), len(dst))
+	a.reap()
+	return ns, err
+}
+
+// reap drains the agent's completion queue after a verb. WriteRemote and
+// ReadRemote take each outcome from the verb's return value, so nothing else
+// reads the completions. One poll usually empties the queue, and polling
+// allocates nothing.
+func (a *Agent) reap() {
+	var wcs [4]rdma.WorkCompletion
+	for a.cq.Poll(wcs[:]) == len(wcs) {
+	}
 }

@@ -188,6 +188,53 @@ func TestRemoteBufferReadWrite(t *testing.T) {
 	}
 }
 
+// TestAgentReapsCompletions pins that the agent's completion queue does not
+// grow with traffic: verbs return their outcome directly, so successful ones
+// queue no completion and the agent drains the error completion a failed one
+// leaves. A steady-state verb allocates nothing.
+func TestAgentReapsCompletions(t *testing.T) {
+	r := newTestRack(t, "user", "zombie")
+	if _, err := r.agents["zombie"].DelegateAndGoZombie(); err != nil {
+		t.Fatal(err)
+	}
+	handles, err := r.agents["user"].RequestExt(2 * testBufSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := make([]byte, 4096)
+	const verbs = 10_000
+	for i := 0; i < verbs/2; i++ {
+		off := int64(i%256) * 4096
+		if _, err := handles[i%2].WriteRemote(off, page); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := handles[i%2].ReadRemote(off, page); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cq := r.agents["user"].cq
+	if d := cq.Depth(); d != 0 {
+		t.Fatalf("agent CQ depth = %d after %d verbs, want 0", d, verbs)
+	}
+	// A verb the fabric rejects still leaves a completion, reaped as well.
+	r.devices["zombie"].SetServing(false)
+	if _, err := handles[0].WriteRemote(0, page); !errors.Is(err, rdma.ErrRemoteNotServing) {
+		t.Fatalf("write to a non-serving host: %v", err)
+	}
+	if d := cq.Depth(); d != 0 {
+		t.Fatalf("agent CQ depth = %d after a failed verb, want 0", d)
+	}
+	r.devices["zombie"].SetServing(true)
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := handles[0].WriteRemote(0, page); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a steady-state remote write allocates %.1f times", allocs)
+	}
+}
+
 func TestZombieMemoryPriority(t *testing.T) {
 	r := newTestRack(t, "user", "zombie", "active-server")
 	// The active server lends 4 buffers while staying active; the zombie

@@ -2,7 +2,8 @@
 // memory actually serves bytes instead of ledger entries.
 //
 // A Plane gives one VM an address space whose pages are backed either by a
-// local arena (the fast path: a bounds-checked copy) or by remote frames
+// local arena (the fast path: a bounds-checked copy into allocate-on-write
+// storage, so an unwritten arena costs no host memory) or by remote frames
 // carved out of buffers granted through memctl's GS_alloc_ext protocol — the
 // memory a zombie server keeps serving from Sz. A PageTable translates
 // (VM, page) to frames and enforces the no-aliasing invariant; the allocator

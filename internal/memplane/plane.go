@@ -375,7 +375,7 @@ func (p *Plane) pageWrite(page, off int64, src []byte) (int64, error) {
 		fresh = true
 	}
 	if frame.Kind == FrameLocal {
-		copy(p.alloc.arena[frame.LocalOff+off:frame.LocalOff+off+int64(len(src))], src)
+		p.alloc.arena.WriteAt(src, frame.LocalOff+off)
 		p.stats.LocalOps++
 		p.stats.LocalNs += p.cfg.LocalNs
 		return p.cfg.LocalNs, nil
@@ -417,7 +417,7 @@ func (p *Plane) pageRead(page, off int64, dst []byte) (int64, error) {
 		return p.cfg.LocalNs, nil
 	}
 	if frame.Kind == FrameLocal {
-		copy(dst, p.alloc.arena[frame.LocalOff+off:frame.LocalOff+off+int64(len(dst))])
+		p.alloc.arena.ReadAt(dst, frame.LocalOff+off)
 		p.stats.LocalOps++
 		p.stats.LocalNs += p.cfg.LocalNs
 		return p.cfg.LocalNs, nil
@@ -554,10 +554,7 @@ func (p *Plane) Free(addr int64) error {
 	}
 	if f.Kind == FrameLocal {
 		// Scrub so a re-allocation of the frame reads as zeros.
-		zero := p.alloc.arena[f.LocalOff : f.LocalOff+p.cfg.PageSize]
-		for i := range zero {
-			zero[i] = 0
-		}
+		p.alloc.arena.Zero(f.LocalOff, p.cfg.PageSize)
 	}
 	delete(p.mirror, page)
 	if f.Kind == FrameRemote && p.crashed[f.Host] {

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+
+	"repro/internal/sparsemem"
 )
 
 // Common errors returned by the fabric.
@@ -246,12 +248,14 @@ func (d *Device) Serving() bool {
 	return d.serving
 }
 
-// MemoryRegion is a registered buffer addressable by remote keys.
+// MemoryRegion is a registered buffer addressable by remote keys. Its bytes
+// are allocate-on-write: registering a region costs no host memory until a
+// verb writes into it, so a zombie lending gigabytes stays cheap to simulate.
 type MemoryRegion struct {
 	device *Device
 	lkey   uint32
 	rkey   uint32
-	buf    []byte
+	mem    *sparsemem.Store
 	// remoteWritable / remoteReadable carry the access flags.
 	remoteReadable bool
 	remoteWritable bool
@@ -264,11 +268,7 @@ func (m *MemoryRegion) LKey() uint32 { return m.lkey }
 func (m *MemoryRegion) RKey() uint32 { return m.rkey }
 
 // Len returns the region size in bytes.
-func (m *MemoryRegion) Len() int { return len(m.buf) }
-
-// Bytes exposes the underlying buffer for local access (the owning host reads
-// and writes its own memory directly).
-func (m *MemoryRegion) Bytes() []byte { return m.buf }
+func (m *MemoryRegion) Len() int { return int(m.mem.Len()) }
 
 // AccessFlags describe the remote permissions of a memory region.
 type AccessFlags struct {
@@ -287,7 +287,7 @@ func (d *Device) RegisterMemory(size int, access AccessFlags) (*MemoryRegion, er
 		device:         d,
 		lkey:           d.fabric.allocKey(),
 		rkey:           d.fabric.allocKey(),
-		buf:            make([]byte, size),
+		mem:            sparsemem.New(int64(size)),
 		remoteReadable: access.RemoteRead,
 		remoteWritable: access.RemoteWrite,
 	}
@@ -348,18 +348,19 @@ func (cq *CompletionQueue) push(wc WorkCompletion) {
 	cq.entries = append(cq.entries, wc)
 }
 
-// Poll removes and returns up to max completions. It models the polling
-// clients of the paper's RPC layer.
-func (cq *CompletionQueue) Poll(max int) []WorkCompletion {
+// Poll moves up to len(dst) of the oldest completions into dst and returns
+// how many it moved, like ibv_poll_cq. It models the polling clients of the
+// paper's RPC layer. The queue compacts in place and keeps its backing array,
+// so polling allocates nothing.
+func (cq *CompletionQueue) Poll(dst []WorkCompletion) int {
 	cq.mu.Lock()
 	defer cq.mu.Unlock()
 	cq.polls++
-	if max <= 0 || max > len(cq.entries) {
-		max = len(cq.entries)
-	}
-	out := cq.entries[:max]
-	cq.entries = append([]WorkCompletion(nil), cq.entries[max:]...)
-	return out
+	n := copy(dst, cq.entries)
+	rest := copy(cq.entries, cq.entries[n:])
+	clear(cq.entries[rest:]) // drop the moved entries' payload references
+	cq.entries = cq.entries[:rest]
+	return n
 }
 
 // Polls returns how many times the queue was polled.

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/sparsemem"
 )
 
 func newTestFabric(t *testing.T) (*Fabric, *Device, *Device) {
@@ -93,30 +95,29 @@ func TestOneSidedWriteRead(t *testing.T) {
 	if lat <= 0 {
 		t.Error("write latency should be positive")
 	}
-	// The data must have landed in the remote buffer without any action on b.
-	if !bytes.Equal(mr.Bytes()[128:128+len(payload)], payload) {
-		t.Fatal("remote buffer does not contain written payload")
-	}
-	dst := make([]byte, len(payload))
-	if _, err := qpA.Read(2, dst, mr.RKey(), 128, len(payload)); err != nil {
+	// The data must have landed in the remote buffer without any action on
+	// b: a READ verb sees it, with the untouched bytes around it still zero.
+	dst := make([]byte, len(payload)+2)
+	if _, err := qpA.Read(2, dst, mr.RKey(), 127, len(dst)); err != nil {
 		t.Fatalf("Read: %v", err)
 	}
-	if !bytes.Equal(dst, payload) {
-		t.Fatal("read back different data")
+	if dst[0] != 0 || dst[len(dst)-1] != 0 || !bytes.Equal(dst[1:len(dst)-1], payload) {
+		t.Fatalf("remote buffer holds %q, want the payload framed by zeros", dst)
 	}
 	st := f.Stats()
 	if st.Reads != 1 || st.Writes != 1 {
 		t.Errorf("stats reads/writes = %d/%d, want 1/1", st.Reads, st.Writes)
 	}
-	if st.BytesWritten != uint64(len(payload)) || st.BytesRead != uint64(len(payload)) {
+	if st.BytesWritten != uint64(len(payload)) || st.BytesRead != uint64(len(dst)) {
 		t.Errorf("byte counters wrong: %+v", st)
 	}
 	// Completions delivered to the initiator's CQ.
-	wcs := cqA.Poll(10)
-	if len(wcs) != 2 {
-		t.Fatalf("expected 2 completions, got %d", len(wcs))
+	wcs := make([]WorkCompletion, 10)
+	n := cqA.Poll(wcs)
+	if n != 2 {
+		t.Fatalf("expected 2 completions, got %d", n)
 	}
-	for _, wc := range wcs {
+	for _, wc := range wcs[:n] {
 		if wc.Status != nil {
 			t.Errorf("completion %s failed: %v", wc.Op, wc.Status)
 		}
@@ -191,6 +192,62 @@ func TestAccessControl(t *testing.T) {
 	}
 }
 
+// TestRegionEdgesAcrossChunks drives verbs over a region larger than one
+// storage chunk, whose size is not a chunk multiple: unaligned spans across
+// chunk boundaries, the exact last byte, and every error at the edges.
+func TestRegionEdgesAcrossChunks(t *testing.T) {
+	_, a, b := newTestFabric(t)
+	qpA, _, _, _ := connectedQP(t, a, b)
+	const size = 2*sparsemem.ChunkSize + 100
+	mr, _ := b.RegisterMemory(size, AccessFlags{RemoteRead: true, RemoteWrite: true})
+	span := bytes.Repeat([]byte("zombie"), 2000) // 12000 bytes
+	off := sparsemem.ChunkSize - 7
+	if _, err := qpA.Write(1, span, mr.RKey(), off); err != nil {
+		t.Fatalf("write across a chunk boundary: %v", err)
+	}
+	back := make([]byte, len(span)+2)
+	if _, err := qpA.Read(2, back, mr.RKey(), off-1, len(back)); err != nil {
+		t.Fatal(err)
+	}
+	if back[0] != 0 || back[len(back)-1] != 0 || !bytes.Equal(back[1:len(back)-1], span) {
+		t.Fatal("span across the chunk boundary read back wrong")
+	}
+	// Unwritten memory reads as zeros, including the last partial chunk.
+	tail := bytes.Repeat([]byte{0xFF}, 100)
+	if _, err := qpA.Read(3, tail, mr.RKey(), size-100, 100); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(tail, make([]byte, 100)) {
+		t.Fatal("unwritten tail must read as zeros")
+	}
+	// The exact last byte is addressable; one past it is not.
+	if _, err := qpA.Write(4, []byte{9}, mr.RKey(), size-1); err != nil {
+		t.Fatalf("write of the last byte: %v", err)
+	}
+	if _, err := qpA.Read(5, tail, mr.RKey(), size-1, 1); err != nil || tail[0] != 9 {
+		t.Fatalf("read of the last byte = %d, %v", tail[0], err)
+	}
+	for _, c := range []struct {
+		name string
+		verb func() (int64, error)
+		want error
+	}{
+		{"write past the end", func() (int64, error) { return qpA.Write(6, []byte{1, 2}, mr.RKey(), size-1) }, ErrOutOfBounds},
+		{"read past the end", func() (int64, error) { return qpA.Read(7, tail, mr.RKey(), size, 1) }, ErrOutOfBounds},
+		{"negative write offset", func() (int64, error) { return qpA.Write(8, []byte{1}, mr.RKey(), -1) }, ErrOutOfBounds},
+		{"negative read offset", func() (int64, error) { return qpA.Read(9, tail, mr.RKey(), -1, 1) }, ErrOutOfBounds},
+		{"bogus rkey", func() (int64, error) { return qpA.Write(10, []byte{1}, mr.RKey()+1000, 0) }, ErrInvalidKey},
+	} {
+		if _, err := c.verb(); !errors.Is(err, c.want) {
+			t.Errorf("%s: got %v, want %v", c.name, err, c.want)
+		}
+	}
+	b.DeregisterMemory(mr)
+	if _, err := qpA.Read(11, tail, mr.RKey(), 0, 1); !errors.Is(err, ErrInvalidKey) {
+		t.Errorf("read of a deregistered region: got %v, want ErrInvalidKey", err)
+	}
+}
+
 func TestUnconnectedQueuePair(t *testing.T) {
 	_, a, b := newTestFabric(t)
 	cq := NewCompletionQueue()
@@ -234,9 +291,9 @@ func TestSendRecv(t *testing.T) {
 	if lat <= 0 {
 		t.Error("send latency should be positive")
 	}
-	wcs := cqB.Poll(10)
-	if len(wcs) != 1 {
-		t.Fatalf("receiver should have 1 completion, got %d", len(wcs))
+	wcs := make([]WorkCompletion, 10)
+	if n := cqB.Poll(wcs); n != 1 {
+		t.Fatalf("receiver should have 1 completion, got %d", n)
 	}
 	if wcs[0].WRID != 77 || wcs[0].Op != "RECV" {
 		t.Errorf("unexpected completion %+v", wcs[0])
@@ -282,19 +339,33 @@ func TestCompletionQueuePolling(t *testing.T) {
 	if cq.Depth() != 5 {
 		t.Fatalf("depth = %d, want 5", cq.Depth())
 	}
-	first := cq.Poll(2)
-	if len(first) != 2 || first[0].WRID != 0 || first[1].WRID != 1 {
-		t.Fatalf("unexpected first poll %+v", first)
+	first := make([]WorkCompletion, 2)
+	if n := cq.Poll(first); n != 2 || first[0].WRID != 0 || first[1].WRID != 1 {
+		t.Fatalf("unexpected first poll %d %+v", n, first)
 	}
-	rest := cq.Poll(0) // 0 means "all"
-	if len(rest) != 3 {
-		t.Fatalf("unexpected rest %+v", rest)
+	if cq.Poll(nil) != 0 || cq.Depth() != 3 {
+		t.Fatal("an empty destination must poll nothing")
+	}
+	rest := make([]WorkCompletion, 8)
+	if n := cq.Poll(rest); n != 3 || rest[0].WRID != 2 || rest[2].WRID != 4 {
+		t.Fatalf("unexpected rest %d %+v", n, rest[:n])
 	}
 	if cq.Depth() != 0 {
 		t.Error("queue should be drained")
 	}
-	if cq.Polls() != 2 {
-		t.Errorf("polls = %d, want 2", cq.Polls())
+	if cq.Polls() != 3 {
+		t.Errorf("polls = %d, want 3", cq.Polls())
+	}
+	// A drained queue keeps its backing array: steady-state push/poll
+	// cycles allocate nothing.
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 4; i++ {
+			cq.push(WorkCompletion{WRID: uint64(i)})
+		}
+		cq.Poll(rest)
+	})
+	if allocs != 0 {
+		t.Errorf("push/poll cycle allocates %.1f times", allocs)
 	}
 }
 
@@ -349,6 +420,43 @@ func TestRPCCall(t *testing.T) {
 	// The RPC path uses one-sided writes under the hood.
 	if f.Stats().Writes < 2 {
 		t.Errorf("expected at least 2 one-sided writes, got %d", f.Stats().Writes)
+	}
+}
+
+// TestRPCCallsReapBothQueues pins that neither side of an RPC channel
+// accumulates completions: the server daemon's response writes are reaped in
+// Call, without changing the simulated round-trip cost.
+func TestRPCCallsReapBothQueues(t *testing.T) {
+	f, a, b := newTestFabric(t)
+	srv := NewRPCServer("ctr", a)
+	srv.Handle("ping", func([]byte) ([]byte, error) { return []byte(`"pong"`), nil })
+	cli, err := NewRPCClient("c", b, srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := cli.Call("ping", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const calls = 5000
+	for i := 1; i < calls; i++ {
+		lat, err := cli.Call("ping", nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lat != first {
+			t.Fatalf("call %d cost %d ns, want %d", i, lat, first)
+		}
+	}
+	if d := cli.serverCQ.Depth(); d != 0 {
+		t.Errorf("server CQ depth = %d after %d calls, want 0", d, calls)
+	}
+	if d := cli.cq.Depth(); d != 0 {
+		t.Errorf("client CQ depth = %d after %d calls, want 0", d, calls)
+	}
+	st := f.Stats()
+	if st.CompletedPolls != calls || st.SimulatedNs != calls*(first-f.Model().PollCostNs) {
+		t.Errorf("stats %+v: want %d polls and %d simulated ns", st, calls, calls*(first-f.Model().PollCostNs))
 	}
 }
 
