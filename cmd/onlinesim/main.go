@@ -189,17 +189,14 @@ func run(out io.Writer, machines, tasks int, hours float64, seed int64, modified
 		}
 		return dumpObs(out, o)
 	}
+	var reports []autopilot.Report
 	if execute {
 		// Each policy run needs its own live fleet: the executor replays real
 		// ACPI transitions and the ledger is cumulative.
 		fmt.Fprintf(out, "Executing against a live %dx%d fleet per policy.\n\n", racks, servers)
-	}
-
-	var reports []autopilot.Report
-	for _, pol := range policies {
-		c := cfg
-		c.Policy = pol
-		if execute {
+		for _, pol := range policies {
+			c := cfg
+			c.Policy = pol
 			// The live fleet only mirrors postures and integrates energy — no
 			// VMs are placed on it — but every Sz entry delegates the
 			// server's free memory as real RDMA buffer allocations, so the
@@ -218,16 +215,14 @@ func run(out io.Writer, machines, tasks int, hours float64, seed int64, modified
 			}
 			fmt.Fprintf(out, "%s: live fleet ledger %.0f J after the run.\n", pol.Name(), exec.EnergyJoules())
 			reports = append(reports, rep)
-			continue
 		}
-		rep, err := autopilot.Regret(c)
-		if err != nil {
+		fmt.Fprintln(out)
+	} else {
+		// Without live fleets the policies share one oracle run.
+		var err error
+		if reports, err = autopilot.CompareOnline(cfg, policies); err != nil {
 			return err
 		}
-		reports = append(reports, rep)
-	}
-	if execute {
-		fmt.Fprintln(out)
 	}
 
 	if len(reports) == 1 {

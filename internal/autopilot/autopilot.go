@@ -45,10 +45,11 @@ type Config struct {
 	// loop events and billed as energy penalties (see chaos.go). Nil or an
 	// empty plan leaves the run bit-identical to the fault-free path. The
 	// caller decides whether to apply the plan's trace perturbation
-	// (chaos.Plan.PerturbTrace) — Regret and RunChaos do.
+	// (chaos.Plan.PerturbTrace) — Regret, its two halves RunOnline and
+	// RunOracle, and RunChaos do.
 	Chaos *chaos.Plan
 	// Workers shards the offline oracle's epoch accounting when this config
-	// is replayed through Regret or RunChaos; the online loop itself is
+	// is replayed through RunOracle (Regret, RunChaos); the online loop is
 	// inherently sequential. Any value yields bit-identical reports.
 	Workers int
 	// OnTick, when set, observes the control loop: it is called after every

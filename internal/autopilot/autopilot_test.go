@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/acpi"
+	"repro/internal/chaos"
 	"repro/internal/consolidation"
 	"repro/internal/core"
 	"repro/internal/energy"
@@ -132,6 +133,52 @@ func TestAutopilotRegretAcrossPlanners(t *testing.T) {
 		for _, r := range reports {
 			if r.RegretPercent <= 0 {
 				t.Errorf("%s/%s: regret %.3f points, want > 0", r.Policy, planner.Name(), r.RegretPercent)
+			}
+		}
+	}
+}
+
+// unkeyedPlanner is a planner of a non-comparable type (it holds a slice),
+// which cannot key CompareOnline's shared oracles.
+type unkeyedPlanner struct {
+	*consolidation.Neat
+	tags []string
+}
+
+// TestCompareOnlineMatchesRegret pins CompareOnline's shared oracle: policies
+// over one planner instance share its oracle, policies over other planners
+// get their own, and every report equals a standalone Regret for its policy
+// — under a chaos plan too, which both halves must perturb alike.
+func TestCompareOnlineMatchesRegret(t *testing.T) {
+	tr := chaosTrace(t)
+	plan, err := chaos.Scenario("light", tr.HorizonSec, tr.Machines, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	roster := func() []Policy {
+		zs := consolidation.NewZombieStack()
+		return append(Policies(zs),
+			NewHysteresis(consolidation.NewNeat()),
+			NewReactive(unkeyedPlanner{Neat: consolidation.NewNeat(), tags: []string{"x"}}),
+			NewPredictiveEWMA(zs))
+	}
+	for _, c := range []*chaos.Plan{nil, plan} {
+		cfg := baseConfig(tr)
+		cfg.Chaos = c
+		reports, err := CompareOnline(cfg, roster())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, pol := range roster() {
+			single := cfg
+			single.Policy = pol
+			want, err := Regret(single)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(reports[i], want) {
+				t.Errorf("chaos %v: report %d (%s/%s) differs from Regret:\n got %+v\nwant %+v",
+					c != nil, i, want.Policy, want.Planner, reports[i], want)
 			}
 		}
 	}

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/acpi"
 	"repro/internal/chaos"
-	"repro/internal/dcsim"
 )
 
 // Fault-aware re-planning: the online loop consumes a chaos.Plan as a fourth
@@ -311,16 +310,22 @@ func (l *loop) chaosStuckRepair(now int64, idx int) {
 // against the offline oracle re-run under the identical schedule. Policies
 // are cloned per run, so the caller's instance is never polluted.
 func RunChaos(cfg Config, plan *chaos.Plan) (chaos.Report, error) {
-	ffCfg := cfg
-	ffCfg.Chaos = nil
-	ffCfg.Policy = freshPolicy(cfg.Policy)
-	ffCfg.OnTick = nil // the hook and the obs bundle observe the faulted run only
-	ffCfg.Obs = nil
-	ff, err := Regret(ffCfg)
+	ff, err := Regret(faultFree(cfg))
 	if err != nil {
 		return chaos.Report{}, err
 	}
 	return runChaosAgainst(cfg, plan, ff)
+}
+
+// faultFree returns the fault-free twin of a chaos configuration: no plan,
+// a fresh policy, and no telemetry — the hook and the obs bundle observe the
+// faulted run only.
+func faultFree(cfg Config) Config {
+	cfg.Chaos = nil
+	cfg.Policy = freshPolicy(cfg.Policy)
+	cfg.OnTick = nil
+	cfg.Obs = nil
+	return cfg
 }
 
 // runChaosAgainst runs the faulted side against an already-computed
@@ -336,22 +341,29 @@ func runChaosAgainst(cfg Config, plan *chaos.Plan, ff Report) (chaos.Report, err
 	}
 	faulted := ff
 	if !plan.Empty() {
-		fCfg := cfg
-		fCfg.Chaos = plan
-		fCfg.Policy = freshPolicy(cfg.Policy)
+		cfg.Chaos = plan
+		cfg.Policy = freshPolicy(cfg.Policy)
 		var err error
-		faulted, err = Regret(fCfg)
-		if err != nil {
+		if faulted, err = Regret(cfg); err != nil {
 			return chaos.Report{}, err
 		}
 	}
+	return NewChaosReport(plan, ff, faulted), nil
+}
 
+// NewChaosReport assembles the resilience report of a validated plan from
+// its two regret reports: ff on the fault-free configuration and faulted on
+// the same configuration under the plan (ff itself when the plan is empty).
+// It runs no simulation, so callers that compute the halves separately —
+// sharing one oracle across the policies of a trace — get the report
+// RunChaos would.
+func NewChaosReport(plan *chaos.Plan, ff, faulted Report) chaos.Report {
 	rep := chaos.Report{
 		Scenario: plan.Name,
 		Seed:     plan.Seed,
 		Policy:   ff.Policy,
 		Planner:  ff.Planner,
-		Trace:    cfg.Trace.Name,
+		Trace:    ff.Trace,
 		Machine:  ff.Machine,
 		TickSec:  ff.TickSec,
 		Faults:   plan.Tally(),
@@ -364,7 +376,7 @@ func runChaosAgainst(cfg Config, plan *chaos.Plan, ff Report) (chaos.Report, err
 		EnergyJoules:               faulted.Online.EnergyJoules,
 		BaselineJoules:             faulted.Online.BaselineJoules,
 		OracleFaultedSavingPercent: faulted.Oracle.SavingPercent,
-		ResilienceRegretPercent:    faulted.Oracle.SavingPercent - faulted.Online.SavingPercent,
+		ResilienceRegretPercent:    faulted.RegretPercent,
 
 		SLOViolations:       faulted.Online.SLOViolations,
 		WastedTransitions:   faulted.Online.WastedTransitions,
@@ -381,7 +393,7 @@ func runChaosAgainst(cfg Config, plan *chaos.Plan, ff Report) (chaos.Report, err
 	if ff.Online.SavingPercent > 0 {
 		rep.SavingsRetainedPercent = 100 * rep.SavingPercent / ff.Online.SavingPercent
 	}
-	return rep, nil
+	return rep
 }
 
 // CompareChaos runs the same online configuration under every given fault
@@ -390,12 +402,7 @@ func runChaosAgainst(cfg Config, plan *chaos.Plan, ff Report) (chaos.Report, err
 // it is a pure function of the configuration, so every RunChaos would
 // reproduce it bit for bit anyway.
 func CompareChaos(cfg Config, plans []*chaos.Plan) ([]chaos.Report, error) {
-	ffCfg := cfg
-	ffCfg.Chaos = nil
-	ffCfg.Policy = freshPolicy(cfg.Policy)
-	ffCfg.OnTick = nil // the hook and the obs bundle observe the faulted runs only
-	ffCfg.Obs = nil
-	ff, err := Regret(ffCfg)
+	ff, err := Regret(faultFree(cfg))
 	if err != nil {
 		return nil, err
 	}
@@ -422,21 +429,4 @@ func freshPolicy(p Policy) Policy {
 		return c.Clone()
 	}
 	return p
-}
-
-// oracleConfig builds the dcsim configuration Regret replays the oracle
-// with; shared here so the chaos path and the fault-free path stay aligned
-// field by field.
-func oracleConfig(cfg *Config) dcsim.Config {
-	return dcsim.Config{
-		Trace:                     cfg.Trace,
-		Policy:                    cfg.Policy.Planner(),
-		Machine:                   cfg.Machine,
-		ServerSpec:                cfg.ServerSpec,
-		ConsolidationPeriodSec:    cfg.TickSec,
-		OasisMemoryServerFraction: cfg.OasisMemoryServerFraction,
-		Transitions:               cfg.Transitions,
-		Workers:                   cfg.Workers,
-		Chaos:                     cfg.Chaos,
-	}
 }

@@ -2,8 +2,10 @@ package autopilot
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 
+	"repro/internal/consolidation"
 	"repro/internal/dcsim"
 	"repro/internal/metrics"
 )
@@ -33,51 +35,118 @@ type Report struct {
 // period and transition-cost model — the only difference is knowledge: the
 // oracle plans each epoch with the epoch's whole population (arrivals
 // included), the online loop only ever sees the past. A chaos plan on the
-// config is applied to BOTH sides: the trace is perturbed once here, the
-// online loop injects the faults as events, and the oracle replays under the
-// same schedule through dcsim's degraded-capacity pricing — the
+// config is applied to BOTH sides: each half perturbs the trace the same
+// way, the online loop injects the faults as events, and the oracle replays
+// under the same schedule through dcsim's degraded-capacity pricing — the
 // apples-to-apples resilience regret.
 func Regret(cfg Config) (Report, error) {
-	if err := cfg.Validate(); err != nil {
+	online, err := RunOnline(cfg)
+	if err != nil {
 		return Report{}, err
+	}
+	oracle, err := RunOracle(cfg)
+	if err != nil {
+		return Report{}, err
+	}
+	return NewReport(online, oracle), nil
+}
+
+// prepare validates the configuration, fills its defaults and, under a
+// non-empty chaos plan, swaps in the plan's perturbed trace — the
+// preparation both halves of a regret comparison share.
+func prepare(cfg Config) (Config, error) {
+	if err := cfg.Validate(); err != nil {
+		return Config{}, err
 	}
 	cfg.applyDefaults()
 	if !cfg.Chaos.Empty() {
 		cfg.Trace = cfg.Chaos.PerturbTrace(cfg.Trace)
 	}
-	online, err := Run(cfg)
+	return cfg, nil
+}
+
+// RunOnline is the online half of Regret: the control loop on the prepared
+// configuration (trace perturbed by the chaos plan, if any).
+func RunOnline(cfg Config) (Result, error) {
+	cfg, err := prepare(cfg)
 	if err != nil {
-		return Report{}, err
+		return Result{}, err
 	}
-	oracle, err := dcsim.Oracle(oracleConfig(&cfg))
+	return Run(cfg)
+}
+
+// RunOracle is the offline half of Regret: dcsim.Oracle on the prepared
+// configuration. It reads the policy only for its base planner, so every
+// online policy over the same planner shares one oracle — callers replaying
+// several policies on one trace can run it once and pair it with each
+// policy's RunOnline through NewReport.
+func RunOracle(cfg Config) (dcsim.Result, error) {
+	cfg, err := prepare(cfg)
 	if err != nil {
-		return Report{}, err
+		return dcsim.Result{}, err
 	}
+	return dcsim.Oracle(dcsim.Config{
+		Trace:                     cfg.Trace,
+		Policy:                    cfg.Policy.Planner(),
+		Machine:                   cfg.Machine,
+		ServerSpec:                cfg.ServerSpec,
+		ConsolidationPeriodSec:    cfg.TickSec,
+		OasisMemoryServerFraction: cfg.OasisMemoryServerFraction,
+		Transitions:               cfg.Transitions,
+		Workers:                   cfg.Workers,
+		Chaos:                     cfg.Chaos,
+	})
+}
+
+// NewReport pairs an online result with the oracle of the same prepared
+// configuration. The report's labels come from the online result, which
+// records the policy, planner, trace, machine and tick it ran with.
+func NewReport(online Result, oracle dcsim.Result) Report {
 	return Report{
-		Trace:         cfg.Trace.Name,
-		Machine:       cfg.Machine.Name,
-		Planner:       cfg.Policy.Planner().Name(),
-		Policy:        cfg.Policy.Name(),
-		TickSec:       cfg.TickSec,
+		Trace:         online.Trace,
+		Machine:       online.Machine,
+		Planner:       online.Planner,
+		Policy:        online.Policy,
+		TickSec:       online.TickSec,
 		Online:        online,
 		Oracle:        oracle,
 		RegretPercent: oracle.SavingPercent - online.SavingPercent,
-	}, nil
+	}
 }
 
 // CompareOnline runs the regret comparison for every given policy on the
 // same configuration, in order. Each policy must be a fresh instance (the
 // bundled ones hold forecasting state) — Policies supplies a matching set.
+// The oracle runs once per distinct base planner instance and is shared by
+// every policy over it (Policies gives the whole set one planner), since it
+// depends on the planner but not on the online policy.
 func CompareOnline(cfg Config, policies []Policy) ([]Report, error) {
+	oracles := make(map[consolidation.Policy]dcsim.Result)
 	reports := make([]Report, 0, len(policies))
 	for _, pol := range policies {
 		c := cfg
 		c.Policy = pol
-		rep, err := Regret(c)
+		online, err := RunOnline(c)
 		if err != nil {
 			return nil, fmt.Errorf("autopilot: policy %q: %w", pol.Name(), err)
 		}
-		reports = append(reports, rep)
+		// A planner of a non-comparable type cannot key the map; it gets
+		// its own oracle.
+		planner := pol.Planner()
+		shareable := reflect.TypeOf(planner).Comparable()
+		oracle, ok := dcsim.Result{}, false
+		if shareable {
+			oracle, ok = oracles[planner]
+		}
+		if !ok {
+			if oracle, err = RunOracle(c); err != nil {
+				return nil, fmt.Errorf("autopilot: policy %q: %w", pol.Name(), err)
+			}
+			if shareable {
+				oracles[planner] = oracle
+			}
+		}
+		reports = append(reports, NewReport(online, oracle))
 	}
 	return reports, nil
 }

@@ -1,11 +1,15 @@
 // Package scenario crosses the workload-family engine with the online
 // policy roster: every scenario pack (a trace built by a family or imported
-// from disk) is replayed through autopilot.RunChaos against every policy,
-// yielding one chaos.Report per cell — oracle bound, fault-free online
-// saving, regret, faulted saving, resilience — the policy×scenario matrix
-// the paper's two-trace evaluation never had. Cells land in grid order
-// regardless of scheduling, so the rendered artifact is bit-identical across
-// runs and worker counts and can be pinned as a golden file.
+// from disk) is replayed against every policy, yielding one chaos.Report per
+// cell — oracle bound, fault-free online saving, regret, faulted saving,
+// resilience — the policy×scenario matrix the paper's two-trace evaluation
+// never had. The offline oracle depends on the pack and the base planner but
+// not on the online policy, so each pack's fault-free and faulted oracles
+// run once and are shared by the pack's cells; each cell adds its own
+// fault-free and faulted online runs, and its report equals the one
+// autopilot.RunChaos gives for it. Cells land in grid order regardless of
+// scheduling, so the rendered artifact is bit-identical across runs and
+// worker counts and can be pinned as a golden file.
 package scenario
 
 import (
@@ -16,6 +20,7 @@ import (
 	"repro/internal/autopilot"
 	"repro/internal/chaos"
 	"repro/internal/consolidation"
+	"repro/internal/dcsim"
 	"repro/internal/energy"
 	"repro/internal/metrics"
 	"repro/internal/trace"
@@ -48,7 +53,7 @@ type MatrixConfig struct {
 	// Packs are the scenario columns, replayed in order.
 	Packs []Pack
 	// Policies are online policy names ("reactive", "hysteresis", "ewma");
-	// a fresh instance is built per cell, so no state leaks across cells.
+	// a fresh instance is built per run, so no state leaks across cells.
 	Policies []string
 	// Planner is the base consolidation planner under every policy ("neat"
 	// by default).
@@ -64,8 +69,9 @@ type MatrixConfig struct {
 	// ("off", "light", "heavy"; "light" by default) and ChaosSeed its seed.
 	ChaosScenario string
 	ChaosSeed     int64
-	// Workers bounds how many cells run concurrently; 1 by default. Any
-	// value produces the identical matrix.
+	// Workers bounds how many simulations (a pack's oracle or a cell's
+	// online run) run concurrently; 1 by default. Any value produces the
+	// identical matrix.
 	Workers int
 }
 
@@ -114,7 +120,7 @@ func (c *MatrixConfig) validate() error {
 }
 
 // policyFor builds a fresh online policy instance by name over a fresh base
-// planner — per cell, because the bundled policies hold forecasting state.
+// planner — per run, because the bundled policies hold forecasting state.
 func (c *MatrixConfig) policyFor(name string) (autopilot.Policy, error) {
 	plannerName := c.Planner
 	if plannerName == "" {
@@ -152,10 +158,17 @@ type Matrix struct {
 	ChaosSeed     int64
 }
 
-// Run executes the policy×scenario grid on Workers goroutines. Cells land in
-// grid order regardless of scheduling, every cell builds its own policy and
-// fault plan, and the result is a pure function of the config — the same
-// grid is bit-identical across runs and worker counts.
+// runOracle is the oracle half of a chaos report, a variable so tests can
+// count the oracle runs.
+var runOracle = autopilot.RunOracle
+
+// Run executes the policy×scenario grid on Workers goroutines. A cell's
+// report pairs its own online runs with oracles that depend on the pack but
+// not on the policy, so each pack's fault-free and faulted oracles run once
+// and are shared by its cells; the report is the one autopilot.RunChaos
+// gives for the cell. Cells land in grid order regardless of scheduling,
+// every run builds its own policy, and the result is a pure function of the
+// config — the same grid is bit-identical across runs and worker counts.
 func Run(cfg MatrixConfig) (*Matrix, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -187,50 +200,109 @@ func Run(cfg MatrixConfig) (*Matrix, error) {
 			m.Cells = append(m.Cells, Cell{Scenario: pack.Name, Policy: polName})
 		}
 	}
-	// Pre-flight every cell's policy name so an unknown policy fails before
-	// any simulation work.
+	// Pre-flight every cell's policy name and every pack's fault plan so a
+	// bad grid fails before any simulation work.
 	for _, polName := range cfg.Policies {
 		if _, err := cfg.policyFor(polName); err != nil {
 			return nil, err
 		}
 	}
-
-	packFor := make(map[string]Pack, len(cfg.Packs))
-	for _, pack := range cfg.Packs {
-		packFor[pack.Name] = pack
-	}
-	runCell := func(cell *Cell) error {
-		pack := packFor[cell.Scenario]
-		policy, err := cfg.policyFor(cell.Policy)
-		if err != nil {
-			return err
-		}
+	plans := make([]*chaos.Plan, len(cfg.Packs))
+	for i, pack := range cfg.Packs {
 		plan, err := chaos.Scenario(chaosName, pack.Trace.HorizonSec, pack.Trace.Machines, cfg.ChaosSeed)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		report, err := autopilot.RunChaos(autopilot.Config{
-			Trace:      pack.Trace,
+		plans[i] = plan
+	}
+
+	configFor := func(pack int, polName string, plan *chaos.Plan) (autopilot.Config, error) {
+		policy, err := cfg.policyFor(polName)
+		if err != nil {
+			return autopilot.Config{}, err
+		}
+		return autopilot.Config{
+			Trace:      cfg.Packs[pack].Trace,
 			Policy:     policy,
 			Machine:    machine,
 			ServerSpec: spec,
 			TickSec:    tick,
-		}, plan)
-		if err != nil {
-			return fmt.Errorf("scenario: cell %s/%s: %w", cell.Scenario, cell.Policy, err)
+			Chaos:      plan,
+		}, nil
+	}
+	// The tasks: per pack the fault-free and faulted oracles (queued first,
+	// as they are the longest), then per cell the fault-free and faulted
+	// online runs. An empty plan skips the faulted half; its report reuses
+	// the fault-free twin, as RunChaos does.
+	ffOracle := make([]dcsim.Result, len(cfg.Packs))
+	fOracle := make([]dcsim.Result, len(cfg.Packs))
+	ffOnline := make([]autopilot.Result, len(m.Cells))
+	fOnline := make([]autopilot.Result, len(m.Cells))
+	var tasks []func() error
+	oracleTask := func(pack int, plan *chaos.Plan, dst *dcsim.Result) {
+		tasks = append(tasks, func() error {
+			// The oracle reads the policy only for its base planner.
+			c, err := configFor(pack, cfg.Policies[0], plan)
+			if err == nil {
+				*dst, err = runOracle(c)
+			}
+			if err != nil {
+				return fmt.Errorf("scenario: pack %s: oracle: %w", cfg.Packs[pack].Name, err)
+			}
+			return nil
+		})
+	}
+	onlineTask := func(cell int, plan *chaos.Plan, dst *autopilot.Result) {
+		tasks = append(tasks, func() error {
+			c, err := configFor(cell/len(cfg.Policies), m.Cells[cell].Policy, plan)
+			if err == nil {
+				*dst, err = autopilot.RunOnline(c)
+			}
+			if err != nil {
+				return fmt.Errorf("scenario: cell %s/%s: %w", m.Cells[cell].Scenario, m.Cells[cell].Policy, err)
+			}
+			return nil
+		})
+	}
+	for i, plan := range plans {
+		oracleTask(i, nil, &ffOracle[i])
+		if !plan.Empty() {
+			oracleTask(i, plan, &fOracle[i])
 		}
-		cell.Report = report
-		return nil
+	}
+	for i := range m.Cells {
+		plan := plans[i/len(cfg.Policies)]
+		onlineTask(i, nil, &ffOnline[i])
+		if !plan.Empty() {
+			onlineTask(i, plan, &fOnline[i])
+		}
+	}
+	if err := runTasks(tasks, cfg.Workers); err != nil {
+		return nil, err
 	}
 
-	workers := cfg.Workers
+	for i := range m.Cells {
+		pack := i / len(cfg.Policies)
+		ff := autopilot.NewReport(ffOnline[i], ffOracle[pack])
+		faulted := ff
+		if !plans[pack].Empty() {
+			faulted = autopilot.NewReport(fOnline[i], fOracle[pack])
+		}
+		m.Cells[i].Report = autopilot.NewChaosReport(plans[pack], ff, faulted)
+	}
+	return m, nil
+}
+
+// runTasks runs the tasks on up to workers goroutines and returns the first
+// error in task order.
+func runTasks(tasks []func() error, workers int) error {
 	if workers < 1 {
 		workers = 1
 	}
-	if workers > len(m.Cells) {
-		workers = len(m.Cells)
+	if workers > len(tasks) {
+		workers = len(tasks)
 	}
-	errs := make([]error, len(m.Cells))
+	errs := make([]error, len(tasks))
 	work := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -238,21 +310,21 @@ func Run(cfg MatrixConfig) (*Matrix, error) {
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				errs[i] = runCell(&m.Cells[i])
+				errs[i] = tasks[i]()
 			}
 		}()
 	}
-	for i := range m.Cells {
+	for i := range tasks {
 		work <- i
 	}
 	close(work)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return m, nil
+	return nil
 }
 
 // Cell returns one matrix entry by scenario and policy name.

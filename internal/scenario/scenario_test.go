@@ -3,11 +3,19 @@ package scenario
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/autopilot"
+	"repro/internal/chaos"
+	"repro/internal/consolidation"
+	"repro/internal/dcsim"
+	"repro/internal/energy"
 	"repro/internal/trace"
 )
 
@@ -95,6 +103,126 @@ func TestMatrixDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if m.Render() != first {
 		t.Fatal("matrix differs across runs with the identical config")
+	}
+}
+
+// TestMatrixMatchesRunChaos is the differential check of the shared-oracle
+// split: every cell equals a standalone autopilot.RunChaos on the cell's
+// configuration, under every chaos preset (the empty "off" plan, which
+// reuses the fault-free twin, included) and at one and several workers.
+func TestMatrixMatchesRunChaos(t *testing.T) {
+	for _, preset := range chaos.ScenarioNames() {
+		cfg := smallConfig(t)
+		cfg.ChaosScenario = preset
+		var want []chaos.Report
+		for _, pack := range cfg.Packs {
+			plan, err := chaos.Scenario(preset, pack.Trace.HorizonSec, pack.Trace.Machines, cfg.ChaosSeed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range cfg.Policies {
+				policy, err := cfg.policyFor(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep, err := autopilot.RunChaos(autopilot.Config{
+					Trace:      pack.Trace,
+					Policy:     policy,
+					Machine:    energy.Profiles()[0],
+					ServerSpec: consolidation.DefaultServerSpec(),
+					TickSec:    300,
+				}, plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, rep)
+			}
+		}
+		for _, workers := range []int{1, 3} {
+			cfg.Workers = workers
+			m, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(m.Cells) != len(want) {
+				t.Fatalf("%s/%d workers: %d cells, want %d", preset, workers, len(m.Cells), len(want))
+			}
+			for i, c := range m.Cells {
+				if !reflect.DeepEqual(c.Report, want[i]) {
+					t.Errorf("%s/%d workers: cell %s/%s differs from RunChaos:\n got %+v\nwant %+v",
+						preset, workers, c.Scenario, c.Policy, c.Report, want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestMatrixRunsEachPackOracleOnce pins the work the shared oracle saves:
+// the oracle depends on the pack, not the policy, so a pack costs one
+// fault-free and one faulted oracle run however many policies it crosses —
+// and only the fault-free one when the plan is empty.
+func TestMatrixRunsEachPackOracleOnce(t *testing.T) {
+	var runs atomic.Int64
+	orig := runOracle
+	runOracle = func(c autopilot.Config) (dcsim.Result, error) {
+		runs.Add(1)
+		return orig(c)
+	}
+	t.Cleanup(func() { runOracle = orig })
+
+	cfg, err := DefaultMatrixConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Workers = 2
+	for _, tc := range []struct {
+		preset  string
+		perPack int64
+	}{{"light", 2}, {"off", 1}} {
+		runs.Store(0)
+		cfg.ChaosScenario = tc.preset
+		m, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(m.Cells) != 15 {
+			t.Fatalf("%d cells, want 15", len(m.Cells))
+		}
+		if got, want := runs.Load(), tc.perPack*int64(len(cfg.Packs)); got != want {
+			t.Errorf("%s: %d oracle runs for %d cells, want %d", tc.preset, got, len(m.Cells), want)
+		}
+	}
+}
+
+// BenchmarkScenarioMatrix is the matrix-cell layer benchmark: the five
+// families at the default envelope crossed with the three policies under
+// light chaos, timed per 15-cell matrix (ns/op) and as cells/s.
+func BenchmarkScenarioMatrix(b *testing.B) {
+	packs, err := FamilyPacks(trace.DefaultFamilyParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			cfg := MatrixConfig{
+				Packs:         packs,
+				Policies:      []string{"reactive", "hysteresis", "ewma"},
+				ChaosScenario: "light",
+				ChaosSeed:     42,
+				Workers:       workers,
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			cells := 0
+			for i := 0; i < b.N; i++ {
+				m, err := Run(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				cells += len(m.Cells)
+			}
+			b.ReportMetric(float64(cells)/b.Elapsed().Seconds(), "cells/s")
+		})
 	}
 }
 
