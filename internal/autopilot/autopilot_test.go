@@ -414,21 +414,36 @@ func fleetRackConfig() core.Config {
 	return core.Config{Servers: 2, Board: board}
 }
 
-// BenchmarkAutopilotTicks measures online control-loop throughput on the
-// canonical diurnal trace — the hot path recorded in BENCH_fleet.json.
-func BenchmarkAutopilotTicks(b *testing.B) {
+// BenchmarkAutopilotRun times one full online run per bundled policy on
+// the synthetic diurnal trace (trace.DefaultConfig, 300 s ticks) and
+// reports the re-planning tick throughput as ticks/s. Policies keep
+// forecasting state across ticks, so every run gets a fresh instance.
+func BenchmarkAutopilotRun(b *testing.B) {
 	tr := diurnalTrace(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg := baseConfig(tr)
-		cfg.Policy = NewHysteresis(consolidation.NewZombieStack())
-		res, err := Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Ticks == 0 {
-			b.Fatal("no ticks executed")
-		}
+	for _, pol := range []struct {
+		name string
+		make func() Policy
+	}{
+		{"reactive", func() Policy { return NewReactive(consolidation.NewZombieStack()) }},
+		{"hysteresis", func() Policy { return NewHysteresis(consolidation.NewZombieStack()) }},
+		{"ewma", func() Policy { return NewPredictiveEWMA(consolidation.NewZombieStack()) }},
+	} {
+		b.Run(pol.name, func(b *testing.B) {
+			b.ReportAllocs()
+			ticks := 0
+			for i := 0; i < b.N; i++ {
+				cfg := baseConfig(tr)
+				cfg.Policy = pol.make()
+				res, err := Run(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Ticks == 0 {
+					b.Fatal("no ticks executed")
+				}
+				ticks += res.Ticks
+			}
+			b.ReportMetric(float64(ticks)/b.Elapsed().Seconds(), "ticks/s")
+		})
 	}
 }

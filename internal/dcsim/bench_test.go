@@ -9,8 +9,9 @@ import (
 	"repro/internal/trace"
 )
 
-// benchConfig is the canonical engine benchmark scenario — the same trace
-// and configuration cmd/benchfleet records in BENCH_fleet.json.
+// benchConfig is the canonical engine benchmark scenario: a short
+// consolidation period over a day-long trace gives the engine many epochs
+// to shard.
 func benchConfig(b *testing.B, workers int, transitions bool) Config {
 	b.Helper()
 	tr, err := trace.Generate(trace.GeneratorConfig{
@@ -31,23 +32,67 @@ func benchConfig(b *testing.B, workers int, transitions bool) Config {
 	}
 }
 
-func benchRun(b *testing.B, cfg Config) {
+// benchRun times full runs of cfg and reports the last run's result.
+func benchRun(b *testing.B, cfg Config) Result {
 	b.ReportAllocs()
 	b.ResetTimer()
+	var res Result
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(cfg); err != nil {
+		var err error
+		if res, err = Run(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(res.SavingPercent, "saving-%")
+	return res
 }
 
+// BenchmarkDCSimSequential is the single-threaded baseline of the engine.
 func BenchmarkDCSimSequential(b *testing.B) { benchRun(b, benchConfig(b, 0, false)) }
 
-func BenchmarkDCSimParallel(b *testing.B) {
-	benchRun(b, benchConfig(b, runtime.GOMAXPROCS(0), false))
+// benchWorkers is the pool size of the parallel rows. It is fixed rather
+// than GOMAXPROCS so a row does the same work, and makes the same
+// allocations, on every host its baseline is compared on.
+const benchWorkers = 4
+
+// BenchmarkDCSimParallel shards the same simulation's per-epoch accounting
+// across benchWorkers workers; the results are bit-identical to the
+// sequential run (TestParallelMatchesSequential).
+func BenchmarkDCSimParallel(b *testing.B) { benchRun(b, benchConfig(b, benchWorkers, false)) }
+
+// BenchmarkDCSimTransitions charges every ACPI transition, migration drain
+// and remote-memory fault on the sequential scenario. Its saving is the
+// costed Figure 10 number; the delta against BenchmarkDCSimSequential's is
+// the optimism of the uncosted bound.
+func BenchmarkDCSimTransitions(b *testing.B) {
+	res := benchRun(b, benchConfig(b, 0, true))
+	b.ReportMetric(res.TransitionJoules/1e3, "transition-kJ")
+	b.ReportMetric(float64(res.StateTransitions), "transitions")
+	b.ReportMetric(float64(res.Migrations), "migrations")
 }
 
-func BenchmarkDCSimTransitions(b *testing.B) { benchRun(b, benchConfig(b, 0, true)) }
+// BenchmarkDCSimSweep measures the scenario-sweep harness on the default
+// Figure 10 grid, scaled down to benchmark size, over benchWorkers workers.
+func BenchmarkDCSimSweep(b *testing.B) {
+	cfg := DefaultSweepConfig()
+	for i := range cfg.TraceConfigs {
+		cfg.TraceConfigs[i].Machines = 80
+		cfg.TraceConfigs[i].Tasks = 800
+		cfg.TraceConfigs[i].HorizonSec = 6 * 3600
+	}
+	cfg.SweepWorkers = benchWorkers
+	b.ReportAllocs()
+	b.ResetTimer()
+	var runs int
+	for i := 0; i < b.N; i++ {
+		res, err := Sweep(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		runs = len(res.Runs)
+	}
+	b.ReportMetric(float64(runs), "scenarios")
+}
 
 // minAllocs returns the fewest heap allocations fn performs over runs
 // calls. MemStats counts the whole process, so a window can also catch a

@@ -115,8 +115,7 @@ func TestQuotaCacheFastPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not stable under -race")
 	}
-	q := newQuotaCache(1<<30, time.Hour, nil)
-	q.allow("tenant") // warm: the one bucket allocation
+	q := warmQuota()
 	allocs := testing.AllocsPerRun(1000, func() {
 		if !q.allow("tenant") {
 			t.Fatal("warm tenant rejected inside a huge budget")
@@ -124,5 +123,26 @@ func TestQuotaCacheFastPathAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("allow allocated %.1f objects/op on the warm path, want 0", allocs)
+	}
+}
+
+// warmQuota returns a limiter with an effectively unlimited budget whose
+// "tenant" bucket already exists (the one allocation the fast path makes).
+func warmQuota() *quotaCache {
+	q := newQuotaCache(1<<30, time.Hour, nil)
+	q.allow("tenant")
+	return q
+}
+
+// BenchmarkQuotaAllow times one warm allow() check, the lock-free fast path
+// TestQuotaCacheFastPathAllocs pins at zero allocations.
+func BenchmarkQuotaAllow(b *testing.B) {
+	q := warmQuota()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !q.allow("tenant") {
+			b.Fatal("warm tenant rejected inside a huge budget")
+		}
 	}
 }
